@@ -20,6 +20,15 @@
 //     figure runs produce, versus O(log n) for the heap. Same-instant
 //     events dispatch as one batch (one cursor position, no re-scan between
 //     callbacks), which is what the saturated open-loop runs hit hardest.
+//     The queue's memory and width track its live population, not its
+//     throughput: a bucket reclaims its consumed prefix in place when an
+//     append would otherwise grow it, the width is measured from the
+//     earliest pending events (Brown's sample, blind to far-future
+//     timers), and a slot that keeps the cursor for more than 16 dispatch
+//     batches narrows the width (the ladder queue's dequeue-driven rule).
+//     Kernel.Stats reports rehashes by trigger, compactions, overflow
+//     pushes and the peak bucket occupancy; an allocation budget on the
+//     20k-request c4 federate cell keeps the end-to-end figure honest.
 //     The heap survives as a reference kernel (sim.QueueHeap, first-bench
 //     -queue heap): a differential suite proves both queues produce
 //     byte-identical results on Fig3, Table1, the storm, and the full

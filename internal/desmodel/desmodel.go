@@ -72,7 +72,7 @@ type Metrics struct {
 func Collect(reqs []*Req) Metrics {
 	var m Metrics
 	m.Requests = len(reqs)
-	var latencies []float64
+	latencies := make([]float64, 0, len(reqs))
 	var last sim.Time
 	var sumLat float64
 	for _, r := range reqs {

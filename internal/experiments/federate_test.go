@@ -3,8 +3,10 @@ package experiments
 import (
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"github.com/argonne-first/first/internal/desmodel"
 	"github.com/argonne-first/first/internal/sim"
 )
 
@@ -41,6 +43,39 @@ func TestFederateDifferentialQueue(t *testing.T) {
 	if !reflect.DeepEqual(cal, heap) {
 		t.Errorf("federate diverges between calendar and heap kernels:\ncal:  %+v\nheap: %+v", cal, heap)
 	}
+}
+
+// TestFederateCellAllocBudget is the per-cell allocation budget: the c4
+// open-loop cell at 20k requests must allocate at most 350 bytes of heap
+// per simulated request, counting the arena, the federation build, the
+// requests and everything the run allocates. The calendar queue used to
+// hold its hot bucket's consumed prefix until the bucket emptied, which it
+// never did, and the cell allocated 784 B/req. It now allocates 248 B/req;
+// the budget leaves 40% headroom and sits below half the old figure. The
+// kernel's own counters must show why: prefixes reclaimed and the width
+// narrowed from dispatch counts.
+func TestFederateCellAllocBudget(t *testing.T) {
+	const budget = 350 // bytes per request
+	c := FederateCell{Clusters: 4, OpenLoopReqs: 20_000, RatePerSec: 200}
+	a := desmodel.NewArena(sim.QueueCalendar)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	row := federateOpen(a, c, DefaultSeed)
+	runtime.ReadMemStats(&after)
+
+	if row.M.Completed != c.OpenLoopReqs {
+		t.Fatalf("completed %d of %d requests", row.M.Completed, c.OpenLoopReqs)
+	}
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(c.OpenLoopReqs)
+	if perReq > budget {
+		t.Errorf("c4 open-loop cell allocated %.0f B/req, budget %d", perReq, budget)
+	}
+	st := a.Kernel().Stats()
+	if st.Compactions == 0 || st.NarrowRehashes == 0 {
+		t.Errorf("kernel stats %+v: want bucket compactions and narrowing rehashes", st)
+	}
+	t.Logf("%.0f B/req, %.2f mallocs/req; kernel %+v", perReq,
+		float64(after.Mallocs-before.Mallocs)/float64(c.OpenLoopReqs), st)
 }
 
 // assertFederateChurn checks the scenario family actually exercised what it

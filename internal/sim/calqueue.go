@@ -16,10 +16,13 @@ const (
 	calInitShift = 12
 	// calMaxShift caps the bucket width so slot arithmetic stays exact.
 	calMaxShift = 55
-	// calCrowdLen is the bucket occupancy past which an insert attempts a
-	// width narrowing (attempted only at power-of-two occupancies, so a
-	// same-instant flood costs O(n log n) re-tune attempts total, not one
-	// per insert).
+	// calCrowdLen is the bucket load past which the width is re-measured:
+	// an insert leaving more live events than this in one bucket, or more
+	// dispatch batches than this from one cursor slot, attempts a
+	// narrowing (only at power-of-two counts, so a same-instant flood costs
+	// O(n log n) re-tune attempts total, not one per event). It is also the
+	// size of the earliest-events sample that grow and widen rehashes
+	// measure.
 	calCrowdLen = 16
 	// calMaxScan bounds empty slots scanned per pop before re-tuning the
 	// width and jumping the cursor to the earliest event.
@@ -32,8 +35,12 @@ const (
 
 // calBucket is one slot-width of the ring. Events are popped off the front
 // by advancing head; the slice resets to [:0] when drained, so its backing
-// array is recycled by later inserts (no per-event allocation at steady
-// state).
+// array is recycled by later inserts. A bucket that never drains — one
+// long-lived slot fed at the tail while the cursor consumes its head —
+// reclaims its consumed prefix instead: an append that would grow the
+// backing array while at least half of it is consumed first slides the live
+// region to the front, so the array tracks the bucket's live population,
+// not the number of events that ever passed through it.
 //
 // Ordering is hybrid: appends that land in (time, seq) order — the common
 // case, since sequence numbers only grow and near-uniform delays arrive in
@@ -85,6 +92,22 @@ func (b *calBucket) placeAppended(i int) {
 	b.ev[j] = ev
 }
 
+// reserve readies the bucket for one append and returns its length: when
+// the append would grow the backing array while at least half of it is
+// consumed prefix, the live region slides to the front instead.
+func (b *calBucket) reserve(st *KernelStats) int {
+	n := len(b.ev)
+	if n < cap(b.ev) || 2*b.head < n || b.head == 0 {
+		return n
+	}
+	n = copy(b.ev, b.ev[b.head:])
+	clear(b.ev[n:]) // release the stale copies' closures
+	b.ev = b.ev[:n]
+	b.head = 0
+	st.Compactions++
+	return n
+}
+
 // calQueue is the bucketed ring. Far-future events (one full ring rotation
 // or more ahead of the cursor) live in the owning Kernel's 4-ary heap and
 // migrate in as the cursor approaches their slot.
@@ -102,7 +125,12 @@ type calQueue struct {
 	n       int    // events resident in buckets
 	one     event  // single-event fast slot
 	hasOne  bool
+	// deq counts the dispatch batches (distinct instants) Run has served
+	// from slot deqSlot since the find phase landed the cursor there.
+	deq     int
+	deqSlot uint64
 	scratch []event
+	stats   KernelStats
 }
 
 // slotOf maps a virtual time to its absolute slot index. Event times are
@@ -125,19 +153,27 @@ func (c *calQueue) reset() {
 	c.n = 0
 	c.one = event{}
 	c.hasOne = false
+	c.deq = 0
+	c.deqSlot = 0
+	c.stats = KernelStats{}
 }
 
-// bucketInsert places ev into its slot's bucket. Used off the hot path
-// (overflow migration, rehash); calInsert inlines the same logic for
-// Schedule.
-func (c *calQueue) bucketInsert(ev event) {
+// bucketInsert places ev into its slot's bucket and returns the bucket and
+// its live occupancy. Used off the hot path (overflow migration, rehash);
+// calInsertRing inlines the same steps for Schedule.
+func (c *calQueue) bucketInsert(ev event) (*calBucket, int) {
 	b := &c.buckets[int(c.slotOf(ev.at))&(len(c.buckets)-1)]
-	n := len(b.ev)
+	n := b.reserve(&c.stats)
 	b.ev = append(b.ev, ev)
 	if n > b.head && !b.dirty && ev.before(&b.ev[n-1]) {
 		b.placeAppended(n)
 	}
+	occ := n + 1 - b.head
+	if occ > c.stats.PeakBucketLen {
+		c.stats.PeakBucketLen = occ
+	}
 	c.n++
+	return b, occ
 }
 
 // calInsert parks the event in the fast slot when the queue is empty,
@@ -176,15 +212,20 @@ func (k *Kernel) calInsertRing(ev event) {
 	}
 	if s >= c.cur+uint64(len(c.buckets)) {
 		k.heapPush(ev) // far future: a full ring rotation away or more
+		c.stats.OverflowPushes++
 	} else {
 		b := &c.buckets[int(s)&(len(c.buckets)-1)]
-		n := len(b.ev)
+		n := b.reserve(&c.stats)
 		b.ev = append(b.ev, ev)
 		c.n++
 		if n > b.head && !b.dirty && ev.before(&b.ev[n-1]) {
 			b.placeAppended(n)
 		}
-		if occ := n + 1 - b.head; occ > calCrowdLen && occ&(occ-1) == 0 {
+		occ := n + 1 - b.head
+		if occ > c.stats.PeakBucketLen {
+			c.stats.PeakBucketLen = occ
+		}
+		if occ > calCrowdLen && occ&(occ-1) == 0 {
 			k.calNarrow(b) // crowding: the local density outruns the width
 			return
 		}
@@ -194,12 +235,13 @@ func (k *Kernel) calInsertRing(ev event) {
 	}
 }
 
-// calNarrow re-tunes the width to a crowded bucket's local event density —
-// the ladder-queue move for skewed schedules, where a dense near-future
-// cluster and a sparse far tail make the global mean gap meaningless. The
-// cluster spreads over fine buckets; far events spill to the overflow heap,
-// which is what it is for.
-func (k *Kernel) calNarrow(b *calBucket) {
+// calNarrow re-tunes the width to a crowded or busy bucket's local event
+// density — the ladder-queue move for skewed schedules, where a dense
+// near-future cluster and a sparse far tail make the global mean gap
+// meaningless. The cluster spreads over fine buckets; far events spill to
+// the overflow heap, which is what it is for. It reports whether it
+// rehashed.
+func (k *Kernel) calNarrow(b *calBucket) bool {
 	c := &k.cal
 	live := b.ev[b.head:]
 	lo, hi := live[0].at, live[0].at
@@ -212,34 +254,45 @@ func (k *Kernel) calNarrow(b *calBucket) {
 		}
 	}
 	if hi == lo {
-		return // same-instant flood: no width separates it, batching eats it
+		return false // same-instant flood: no width separates it, batching eats it
 	}
 	w := uint64(hi-lo) / uint64(len(live)) * 2
 	shift := uint(bits.Len64(w))
 	if shift >= c.shift {
-		return
+		return false
 	}
 	k.calRehash(rehashNarrow, shift)
+	return true
 }
 
-// calFindNext is NextAt's calendar-mode peek: the same find phase runCal
-// runs — cursor advance over empty slots, overflow migration into the ring
-// window, lazy bucket sorts, and the calMaxScan re-tune — stopping at the
-// earliest event instead of dispatching it. Every structural mutation it
-// performs is one Run would perform anyway, and none reorders events.
-func (k *Kernel) calFindNext() (Time, bool) {
+// calFind is the calendar queue's find phase, shared by Run and NextAt: it
+// advances the cursor over empty slots, migrates overflow events whose slot
+// has entered the ring window, sorts a dirty bucket once when the cursor
+// reaches it, and re-tunes the width when it has drifted from the
+// schedule. It returns the bucket whose head is the earliest pending event,
+// or nil when the ring and the overflow are empty. None of its mutations
+// reorders events, so a NextAt before Run leaves the dispatch sequence
+// byte-identical.
+//
+// Two re-tunes fire here. A scan crossing calMaxScan empty slots widens:
+// events are sparser than the width assumes. A slot that serves more than
+// calCrowdLen dispatch batches before the cursor leaves it narrows: the
+// slot is so wide that the events its callbacks schedule keep landing back
+// in it, which insert occupancy never sees when the live population is
+// small but its throughput is high (the ladder queue's rule of spawning
+// finer buckets from dequeue counts). Batches, not events, are counted:
+// events sharing an instant cannot be separated by any width.
+func (k *Kernel) calFind() *calBucket {
 	c := &k.cal
-	if c.hasOne {
-		return c.one.at, true
-	}
 	if c.n == 0 && len(k.heap) == 0 {
-		return 0, false
+		return nil
 	}
 	scanned := 0
 	for {
 		if c.n == 0 {
 			c.cur = c.slotOf(k.heap[0].at) // ring empty: jump to the overflow's min
 		}
+		// Pull overflow events whose slot has entered the ring window.
 		if len(k.heap) > 0 {
 			limit := c.cur + uint64(len(c.buckets))
 			for len(k.heap) > 0 && c.slotOf(k.heap[0].at) < limit {
@@ -248,13 +301,24 @@ func (k *Kernel) calFindNext() (Time, bool) {
 		}
 		b := &c.buckets[int(c.cur)&(len(c.buckets)-1)]
 		if b.dirty {
-			b.sort()
+			b.sort() // lazy ordering: one sort per bucket per rotation
 		}
+		// The slot check skips entries of a later ring rotation (they can
+		// appear after the cursor backs up for a late insert).
 		if b.head < len(b.ev) && c.slotOf(b.ev[b.head].at) == c.cur {
-			return b.ev[b.head].at, true
+			if c.cur != c.deqSlot {
+				c.deqSlot, c.deq = c.cur, 0
+			} else if d := c.deq; d > calCrowdLen && d&(d-1) == 0 && k.calNarrow(b) {
+				c.deq = 0
+				continue // the rehash moved the cursor: find again
+			}
+			return b
 		}
 		c.cur++
 		if scanned++; scanned >= calMaxScan {
+			// The width no longer matches the schedule (long idle gap, or
+			// stale later-rotation entries): re-tune and land the cursor
+			// directly on the earliest event.
 			k.calRehash(rehashWiden, 0)
 			scanned = 0
 		}
@@ -265,8 +329,8 @@ func (k *Kernel) calFindNext() (Time, bool) {
 type rehashMode int
 
 const (
-	// rehashGrow re-tunes the width freely from the global time span (the
-	// population just doubled; re-measure everything).
+	// rehashGrow re-tunes the width freely (the population just doubled;
+	// re-measure).
 	rehashGrow rehashMode = iota
 	// rehashWiden only widens (the scan crossed too many empty slots:
 	// events are sparser than the width assumes).
@@ -279,11 +343,25 @@ const (
 // per mode, cursor on the earliest event. O(n + buckets); triggered only
 // when the structure has drifted, so the cost amortizes over the inserts
 // and scans that caused it.
+//
+// Grow and widen measure the width from the earliest calCrowdLen events
+// (Brown's sample), not from the global span over the total: the events
+// the cursor reaches next are the ones the width must separate, while
+// far-future timers parked in the overflow heap would dominate a global
+// span and undo every narrowing.
 func (k *Kernel) calRehash(mode rehashMode, forcedShift uint) {
 	c := &k.cal
 	total := c.n + len(k.heap)
 	if total == 0 {
 		return
+	}
+	switch mode {
+	case rehashGrow:
+		c.stats.GrowRehashes++
+	case rehashWiden:
+		c.stats.WidenRehashes++
+	case rehashNarrow:
+		c.stats.NarrowRehashes++
 	}
 	sc := c.scratch[:0]
 	for i := range c.buckets {
@@ -302,14 +380,23 @@ func (k *Kernel) calRehash(mode rehashMode, forcedShift uint) {
 	}
 	k.heap = k.heap[:0]
 
-	minAt, maxAt := sc[0].at, sc[0].at
-	for i := 1; i < len(sc); i++ {
-		if sc[i].at < minAt {
-			minAt = sc[i].at
+	// early holds the m earliest event times, ascending.
+	var early [calCrowdLen]Time
+	m := 0
+	for i := range sc {
+		at := sc[i].at
+		if m == len(early) {
+			if at >= early[m-1] {
+				continue
+			}
+			m-- // an earlier event displaces the latest sample
 		}
-		if sc[i].at > maxAt {
-			maxAt = sc[i].at
+		j := m
+		for ; j > 0 && early[j-1] > at; j-- {
+			early[j] = early[j-1]
 		}
+		early[j] = at
+		m++
 	}
 	// The ring only grows (high-water semantics, like the heap's backing
 	// array): shrinking would discard every bucket's warmed backing array
@@ -322,10 +409,11 @@ func (k *Kernel) calRehash(mode rehashMode, forcedShift uint) {
 	case rehashNarrow:
 		c.shift = forcedShift
 	default:
-		if span := maxAt - minAt; span > 0 {
-			// Width = the power of two nearest 2× the mean event gap;
-			// span == 0 (a same-instant flood) keeps the current width.
-			w := uint64(span) / uint64(total) * 2
+		if span := early[m-1] - early[0]; span > 0 {
+			// Width = the power of two nearest 2× the sample's mean event
+			// gap; span == 0 (a same-instant flood) keeps the current
+			// width.
+			w := uint64(span) / uint64(m) * 2
 			shift := uint(bits.Len64(w))
 			if shift > calMaxShift {
 				shift = calMaxShift
@@ -335,12 +423,13 @@ func (k *Kernel) calRehash(mode rehashMode, forcedShift uint) {
 			}
 		}
 	}
-	c.cur = c.slotOf(minAt)
+	c.cur = c.slotOf(early[0])
 	c.n = 0
 	limit := c.cur + uint64(len(c.buckets))
 	for _, ev := range sc {
 		if c.slotOf(ev.at) >= limit {
 			k.heapPush(ev)
+			c.stats.OverflowPushes++
 		} else {
 			c.bucketInsert(ev)
 		}

@@ -6,17 +6,28 @@
 // ring of time buckets, each holding the events of exactly one bucket-width
 // slot of virtual time, sorted by (time, seq). For the near-uniform schedules
 // the figure runs produce, Schedule and the next-event scan are O(1)
-// amortized — versus O(log n) per event for a heap — and the bucket width
-// and bucket count resize themselves from the observed event-time span.
-// Far-future events (beyond one full ring rotation) fall back to a sorted
-// overflow structure, a 4-ary min-heap, and migrate into the ring as the
-// scan cursor approaches their slot. The same heap doubles as the reference
-// kernel (QueueHeap) for the differential determinism suite.
+// amortized — versus O(log n) per event for a heap. Far-future events
+// (beyond one full ring rotation) fall back to a sorted overflow structure,
+// a 4-ary min-heap, and migrate into the ring as the scan cursor approaches
+// their slot. The same heap doubles as the reference kernel (QueueHeap) for
+// the differential determinism suite.
+//
+// The queue sizes itself from its live population, not its throughput. The
+// bucket count follows the pending-event count; the width is measured from
+// the earliest pending events (Brown's sample), so far-future timers in the
+// overflow do not stretch it. Three triggers re-tune it: the population
+// doubling, a scan crossing too many empty slots (widen), and a bucket
+// that is crowded on insert or keeps the cursor for too many dispatch
+// batches (narrow — the ladder queue's rule of spawning finer buckets from
+// dequeue throughput). Kernel.Stats counts the rehashes by trigger.
 //
 // Events live by value inside bucket slices and the heap's backing array, so
-// Schedule performs no per-event allocation and no interface boxing; popped
-// slots are recycled by later pushes, which keeps the Schedule/Run loop
-// allocation-free at steady state (see BenchmarkKernelEvents).
+// Schedule performs no per-event allocation and no interface boxing. A
+// bucket's consumed prefix is reclaimed in place when an append would
+// otherwise grow its backing array, so even a slot the cursor never leaves
+// holds memory for its live events only; popped slots are recycled by later
+// pushes, which keeps the Schedule/Run loop allocation-free at steady state
+// (see BenchmarkKernelEvents).
 //
 // Run dispatches same-instant events as one batch: once the scan cursor
 // lands on a bucket, every queued event carrying the same timestamp is
@@ -89,6 +100,30 @@ type Kernel struct {
 
 	cal calQueue
 }
+
+// KernelStats are the calendar queue's self-statistics since the kernel was
+// created or last Reset: plain counters bumped on the queue's structural
+// slow paths, plus the occupancy peak (one compare per insert). They stay
+// zero in QueueHeap mode.
+type KernelStats struct {
+	// GrowRehashes, WidenRehashes and NarrowRehashes count ring rebuilds by
+	// trigger: the population doubled, the scan crossed too many empty
+	// slots, or a crowded or busy bucket asked for a finer width.
+	GrowRehashes   uint64
+	WidenRehashes  uint64
+	NarrowRehashes uint64
+	// Compactions counts consumed bucket prefixes reclaimed in place.
+	Compactions uint64
+	// OverflowPushes counts events parked in the far-future overflow heap,
+	// including re-parks by a rehash.
+	OverflowPushes uint64
+	// PeakBucketLen is the most live events one bucket held after an
+	// insert.
+	PeakBucketLen int
+}
+
+// Stats returns the queue's self-statistics.
+func (k *Kernel) Stats() KernelStats { return k.cal.stats }
 
 // NewKernel returns an empty calendar-queue kernel at time zero.
 func NewKernel() *Kernel {
@@ -209,8 +244,8 @@ func (k *Kernel) runHeap(until Time) {
 	}
 }
 
-// runCal is the calendar-mode loop: scan the ring for the earliest event,
-// then dispatch every event carrying that timestamp as one batch.
+// runCal is the calendar-mode loop: find the earliest event's bucket, then
+// dispatch every event carrying that timestamp as one batch.
 func (k *Kernel) runCal(until Time) {
 	c := &k.cal
 	for !k.stopped {
@@ -235,40 +270,9 @@ func (k *Kernel) runCal(until Time) {
 			fn()
 			continue
 		}
-		if c.n == 0 && len(k.heap) == 0 {
+		b := k.calFind()
+		if b == nil {
 			return
-		}
-		// Advance the cursor to the earliest event's bucket.
-		scanned := 0
-		var b *calBucket
-		for {
-			if c.n == 0 {
-				c.cur = c.slotOf(k.heap[0].at) // ring empty: jump to the overflow's min
-			}
-			// Pull overflow events whose slot has entered the ring window.
-			if len(k.heap) > 0 {
-				limit := c.cur + uint64(len(c.buckets))
-				for len(k.heap) > 0 && c.slotOf(k.heap[0].at) < limit {
-					c.bucketInsert(k.heapPop())
-				}
-			}
-			b = &c.buckets[int(c.cur)&(len(c.buckets)-1)]
-			if b.dirty {
-				b.sort() // lazy ordering: one sort per bucket per rotation
-			}
-			// The slot check skips entries of a later ring rotation (they
-			// can appear after the cursor backs up for a late insert).
-			if b.head < len(b.ev) && c.slotOf(b.ev[b.head].at) == c.cur {
-				break
-			}
-			c.cur++
-			if scanned++; scanned >= calMaxScan {
-				// The width no longer matches the schedule (long idle gap,
-				// or stale later-rotation entries): re-tune and land the
-				// cursor directly on the earliest event.
-				k.calRehash(rehashWiden, 0)
-				scanned = 0
-			}
 		}
 		at := b.ev[b.head].at
 		if until > 0 && at > until {
@@ -278,6 +282,7 @@ func (k *Kernel) runCal(until Time) {
 		if at > k.now {
 			k.now = at
 		}
+		c.deq++
 		// Batched same-instant dispatch: every event at this timestamp sits
 		// consecutively from the bucket head (same slot, sorted by seq), and
 		// callbacks scheduling for the same instant land behind the batch in
@@ -312,11 +317,10 @@ func (k *Kernel) runCal(until Time) {
 
 // NextAt peeks the earliest pending event's timestamp without executing
 // anything. ok is false when the queue is empty. In calendar mode the peek
-// advances the scan cursor exactly the way Run's find phase would (lazy
-// bucket sorts, overflow pull-in, scan-triggered rehash) — those mutations
-// never reorder events, so a NextAt immediately before Run leaves the
-// dispatch sequence byte-identical. ShardSet uses it to compute the
-// conservative window bound across shards.
+// runs Run's own find phase (calFind: cursor advance, lazy bucket sorts,
+// overflow pull-in, re-tunes) — those mutations never reorder events, so a
+// NextAt immediately before Run leaves the dispatch sequence byte-identical.
+// ShardSet uses it to compute the conservative window bound across shards.
 func (k *Kernel) NextAt() (Time, bool) {
 	if k.useHeap {
 		if len(k.heap) == 0 {
@@ -324,7 +328,15 @@ func (k *Kernel) NextAt() (Time, bool) {
 		}
 		return k.heap[0].at, true
 	}
-	return k.calFindNext()
+	c := &k.cal
+	if c.hasOne {
+		return c.one.at, true
+	}
+	b := k.calFind()
+	if b == nil {
+		return 0, false
+	}
+	return b.ev[b.head].at, true
 }
 
 // Seconds converts a float seconds value to virtual time. Non-finite and
