@@ -5,14 +5,16 @@ GO ?= go
 # (make fuzz FUZZTIME=60s).
 FUZZTIME ?= 3s
 
-.PHONY: all check fmt vet build test fuzz lint race chaos calibrate bench bench-diff par-diff federate-night autoscale-night livefed-night
+.PHONY: all check fmt vet build test fuzz lint perfbench-check race chaos calibrate bench bench-diff par-diff federate-night autoscale-night livefed-night
 
 all: check
 
 # check is the tier-1 gate every PR must keep green; the brief fuzz pass
 # keeps malformed request bodies from ever panicking a handler; lint runs
-# the repo's own firstlint analyzers (det, clockonly, seedflow, hotpath).
-check: fmt vet build test fuzz lint
+# the repo's own firstlint analyzers (det, clockonly, seedflow, hotpath);
+# perfbench-check covers the benchmark's nested module, which the root
+# module's ./... patterns skip.
+check: fmt vet build test fuzz lint perfbench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -32,6 +34,13 @@ test:
 # hotpath escape-analysis cross-check for //first:hotpath bodies.
 lint:
 	$(GO) run ./cmd/firstlint ./...
+
+# perfbench-check vets and tests the end-to-end benchmark (perfbench/, a Go
+# module of its own that reaches the repository through a replace
+# directive) and runs firstlint over it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) run ./cmd/firstlint -C perfbench ./...
 
 # fuzz mutates the committed openaiapi seed corpora (testdata/fuzz) for
 # FUZZTIME each (3s in `make check`; the nightly CI job runs 60s): the

@@ -93,6 +93,22 @@
 // in the nightly CI job (make federate-night), with a scaled-down family
 // guarding every PR.
 //
+// The routing row is the per-request cost of that ladder, paid once per
+// cluster on every arrival and migration. Each candidate row is built in
+// one pass over the deployment's pool (desmodel's fedDep.view: model
+// state, queue depth, uncordoned serving count, cordon flag and soonest
+// drain together) and written in place into a router-owned scratch slice.
+// The capacity rung's free-GPU figure comes from cluster.Cluster.FreeGPUs,
+// a counter kept under the inventory lock by Allocate/Release and read
+// without it; Status() still builds the full locked snapshot for everyone
+// else, and CheckInvariants checks the counter against the nodes. What
+// Select receives is unchanged — the same EndpointInfo fields with the
+// same values — so the ladder's decisions are too; building the rows and
+// running Select is pinned at 0 allocs/op (TestRoutingRowZeroAlloc,
+// TestSelectZeroAlloc). desmodel.Collect reads its two latency
+// percentiles by in-place selection (desmodel.SelectNth) instead of
+// sorting every latency of the run.
+//
 // # Auto-scaling inside a federated cluster
 //
 // Each (cluster, model) deployment in the DES federation is a pool of

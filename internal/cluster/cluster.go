@@ -9,6 +9,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/argonne-first/first/internal/perfmodel"
 )
@@ -60,6 +61,11 @@ type Cluster struct {
 	nodes   []*Node
 	nextID  int64
 	granted map[int64]*Allocation
+
+	// free mirrors Σ nodes' free GPUs. It is written only under mu (in
+	// grantLocked and Release) and read lock-free by FreeGPUs, the
+	// capacity rung's per-request probe.
+	free atomic.Int64
 }
 
 // New builds a homogeneous cluster.
@@ -74,6 +80,7 @@ func New(name string, nodeCount, gpusPerNode int, gpu perfmodel.GPUSpec) *Cluste
 			free:     gpusPerNode,
 		})
 	}
+	c.free.Store(int64(nodeCount * gpusPerNode))
 	return c
 }
 
@@ -178,6 +185,7 @@ func (c *Cluster) grantLocked(nodes []*Node, gpus int) *Allocation {
 			break
 		}
 	}
+	c.free.Add(-int64(gpus - remaining))
 	c.granted[alloc.ID] = alloc
 	return alloc
 }
@@ -194,15 +202,18 @@ func (c *Cluster) Release(a *Allocation) {
 		return
 	}
 	delete(c.granted, a.ID)
+	freed := 0
 	for _, part := range a.Parts {
 		n := c.nodes[part.NodeID]
 		for _, g := range part.GPUs {
 			if n.used[g] {
 				n.used[g] = false
 				n.free++
+				freed++
 			}
 		}
 	}
+	c.free.Add(int64(freed))
 }
 
 // Status is the publicly-queryable facility state the federation layer uses
@@ -230,6 +241,10 @@ func (c *Cluster) Status() Status {
 	return st
 }
 
+// FreeGPUs returns the cluster's free GPU count without taking the lock —
+// the same figure as Status().FreeGPUs, for callers that need nothing else.
+func (c *Cluster) FreeGPUs() int { return int(c.free.Load()) }
+
 // CheckInvariants verifies GPU accounting; property tests call it.
 func (c *Cluster) CheckInvariants() error {
 	c.mu.Lock()
@@ -248,12 +263,17 @@ func (c *Cluster) CheckInvariants() error {
 			}
 		}
 	}
+	free := 0
 	for _, n := range c.nodes {
 		used := n.GPUCount - n.free
 		if counted[n.ID] != used {
 			return fmt.Errorf("cluster %s: node %d usage drift: granted=%d marked=%d",
 				c.name, n.ID, counted[n.ID], used)
 		}
+		free += n.free
+	}
+	if got := c.FreeGPUs(); got != free {
+		return fmt.Errorf("cluster %s: free-GPU counter drift: counter=%d nodes=%d", c.name, got, free)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -158,6 +159,60 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 	}, &quick.Config{MaxCount: 80})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFreeGPUsCounterTracksStatus drives random single-node and multi-node
+// allocations, releases, and double releases, checking after every
+// operation that the lock-free FreeGPUs counter equals the locked
+// Status().FreeGPUs sum and that CheckInvariants (which also checks the
+// counter against the nodes) holds.
+func TestFreeGPUsCounterTracksStatus(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := New("prop", 6, 4, perfmodel.A100_40)
+		var live, released []*Allocation
+		check := func(op string) {
+			t.Helper()
+			if got, want := c.FreeGPUs(), c.Status().FreeGPUs; got != want {
+				t.Fatalf("seed %d after %s: FreeGPUs() = %d, Status().FreeGPUs = %d", seed, op, got, want)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d after %s: %v", seed, op, err)
+			}
+		}
+		check("New")
+		for i := 0; i < 300; i++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				// 1..4 fits one node; 5..12 spans two or three whole nodes.
+				n := 1 + rng.Intn(4)
+				if rng.Intn(3) == 0 {
+					n = 5 + rng.Intn(8)
+				}
+				if a, err := c.Allocate(n); err == nil {
+					live = append(live, a)
+				}
+				check("Allocate")
+			case r < 8 && len(live) > 0:
+				j := rng.Intn(len(live))
+				a := live[j]
+				live = append(live[:j], live[j+1:]...)
+				c.Release(a)
+				released = append(released, a)
+				check("Release")
+			case len(released) > 0:
+				c.Release(released[rng.Intn(len(released))])
+				check("double Release")
+			}
+		}
+		for _, a := range live {
+			c.Release(a)
+		}
+		check("drain")
+		if got := c.FreeGPUs(); got != 24 {
+			t.Fatalf("seed %d: FreeGPUs() = %d after releasing everything, want 24", seed, got)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@
 package desmodel
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -97,15 +98,68 @@ func Collect(reqs []*Req) Metrics {
 		m.ReqPerSec = float64(m.Completed) / m.DurationS
 		m.TokPerSec = float64(m.OutputTokens) / m.DurationS
 	}
-	sort.Float64s(latencies)
-	m.MedianLatS = latencies[len(latencies)/2]
 	m.MeanLatS = sumLat / float64(len(latencies))
 	p99 := int(0.99 * float64(len(latencies)))
 	if p99 >= len(latencies) {
 		p99 = len(latencies) - 1
 	}
-	m.P99LatS = latencies[p99]
+	// p99 first: selection leaves the p99+1 smallest in the prefix, and the
+	// median (index n/2 ≤ p99) is among them.
+	m.P99LatS = SelectNth(latencies, p99)
+	m.MedianLatS = SelectNth(latencies[:p99+1], len(latencies)/2)
 	return m
+}
+
+// SelectNth returns the k-th smallest element of xs (0-based) — the value
+// sort.Float64s would leave at xs[k] — by Hoare's FIND on median-of-three
+// pivots, in expected linear time. It reorders xs in place so that
+// xs[:k] ≤ xs[k] ≤ xs[k+1:]. A partition run that fails to shrink the range
+// geometrically falls back to sorting what is left, bounding the worst case
+// at O(n log n). xs must be non-empty, NaN-free, and 0 ≤ k < len(xs).
+func SelectNth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo:j+1] ≤ pivot ≤ xs[i:hi+1], and anything strictly
+		// between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // lane is a serialized single-server queue: every item charges `cost`

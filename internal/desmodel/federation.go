@@ -269,7 +269,7 @@ type fedCluster struct {
 	cl    *cluster.Cluster
 	sched *scheduler.Scheduler
 	deps  []*fedDep
-	snap  fedSnap
+	snap  []fedDepSnap // par mode's barrier-published rows, per model
 
 	routed, served     int64
 	coldStarts, drains int
@@ -305,7 +305,9 @@ type Federation struct {
 	fe *shardFE
 
 	clusters []*fedCluster
-	scratch  []federation.EndpointInfo
+	// scratch holds one candidate row per cluster; route and routeReplay
+	// fill it in place for every decision.
+	scratch []federation.EndpointInfo
 
 	replay *fedReplay
 
@@ -416,7 +418,7 @@ func newFederation(k *sim.Kernel, p FederationParams, newEngine func(*fedCluster
 		done:      done,
 		par:       par,
 		fe:        newShardFE(k, p.Shards, p.CritSection),
-		scratch:   make([]federation.EndpointInfo, 0, p.Clusters),
+		scratch:   make([]federation.EndpointInfo, p.Clusters),
 	}
 	for i := 0; i < p.Clusters; i++ {
 		c := &fedCluster{f: f, idx: i, k: k}
@@ -439,7 +441,7 @@ func newFederation(k *sim.Kernel, p FederationParams, newEngine func(*fedCluster
 				fcServe:   NewForecast(p.Scale.ForecastAlpha, 0),
 			})
 		}
-		c.snap.deps = make([]fedDepSnap, len(p.Models))
+		c.snap = make([]fedDepSnap, len(p.Models))
 		f.clusters = append(f.clusters, c)
 		if p.BGPeriod > 0 && p.BGGPUs > 0 {
 			// Background jobs self-schedule forever; open-loop drivers end
@@ -507,7 +509,9 @@ func (f *Federation) Arrive(r *Req) {
 }
 
 // route applies the real federation.Select priority ladder over live
-// snapshots of every cluster's deployment and inventory state.
+// snapshots of every cluster's deployment and inventory state. Candidates
+// are listed in the model's registry order — the cluster list rotated by
+// the model index — and written in place into the length-n scratch rows.
 func (f *Federation) route(r *Req) {
 	if f.replay != nil {
 		f.routeReplay(r)
@@ -516,12 +520,14 @@ func (f *Federation) route(r *Req) {
 	m := r.Model
 	n := len(f.clusters)
 	spec := &f.p.Models[m]
-	infos := f.scratch[:0]
-	for i := 0; i < n; i++ {
-		c := f.clusters[(m+i)%n]
-		infos = append(infos, c.endpointInfo(m, spec))
+	infos := f.scratch
+	ci := m % n
+	for i := range infos {
+		f.clusters[ci].endpointInfo(m, spec, &infos[i])
+		if ci++; ci == n {
+			ci = 0
+		}
 	}
-	f.scratch = infos[:0]
 	idx, reason, err := federation.Select(infos)
 	if err != nil {
 		panic(err) // unreachable: the candidate list is never empty
@@ -539,68 +545,90 @@ func (f *Federation) route(r *Req) {
 	f.deliver(target, m, r)
 }
 
-// endpointInfo is one cluster's routing-ladder candidate row. Sequentially
-// it reads the cluster's live state (the router and the cluster share a
-// kernel, so "live" is exact); under the parallel mode it reads the snapshot
-// published at the last window barrier — the same staleness a live
-// federation's status poller has, bounded by the lookahead.
-func (c *fedCluster) endpointInfo(m int, spec *perfmodel.ModelSpec) federation.EndpointInfo {
+// endpointInfo fills row with one cluster's routing-ladder candidate.
+// Sequentially it reads the cluster's live state (the router and the
+// cluster share a kernel, so "live" is exact): the lock-free free-GPU
+// counter plus one view pass over the pool. Under the parallel mode it
+// copies the row published at the last window barrier — the same staleness
+// a live federation's status poller has, bounded by the lookahead.
+//
+//first:hotpath pinned by TestRoutingRowZeroAlloc (federation_test.go)
+func (c *fedCluster) endpointInfo(m int, spec *perfmodel.ModelSpec, row *federation.EndpointInfo) {
 	if c.f.par != nil {
-		s := &c.snap.deps[m]
-		return federation.EndpointInfo{
-			ID:         c.name,
-			ModelState: s.state,
-			FreeGPUs:   c.snap.freeGPUs,
-			NeededGPUs: spec.TensorParallel,
-			Depth:      s.depth,
-			Instances:  s.serving,
-			Cordoned:   s.cordoned,
-			DrainingAt: s.drainingAt,
-		}
+		*row = c.snap[m].row
+		return
 	}
-	d := c.deps[m]
-	serving, cordoned, drainingAt := d.routingView()
-	return federation.EndpointInfo{
-		ID:         c.name,
-		ModelState: d.modelState(),
-		FreeGPUs:   c.cl.Status().FreeGPUs,
-		NeededGPUs: spec.TensorParallel,
-		Depth:      d.depth(),
-		Instances:  serving,
-		Cordoned:   cordoned,
-		DrainingAt: drainingAt,
-	}
+	row.ID = c.name
+	row.FreeGPUs = c.cl.FreeGPUs()
+	row.NeededGPUs = spec.TensorParallel
+	c.deps[m].view(row)
 }
 
-// routingView is one pass over the pool collecting what the routing ladder
-// is told: the uncordoned serving count (the capacity worth advertising),
-// whether serving capacity exists but all of it is cordoned ahead of an
-// imminent drain, and how far away the soonest cordoned drain is. With
-// CordonLead unset no instance ever cordons, so the view reduces exactly
-// to servingCount / false / 0 — the drain-blind ladder inputs.
-func (d *fedDep) routingView() (serving int, cordoned bool, drainingAt time.Duration) {
-	total := 0
+// view is one pass over the pool filling the deployment's part of a routing
+// row:
+//
+//   - ModelState aggregates the pool's lifecycle onto the paper's §4.3
+//     states: serving anywhere beats loading beats queued (a queued job
+//     already in its prologue reports starting). Draining instances report
+//     nothing — they must not attract new work, and their held GPUs keep
+//     the capacity rung honest.
+//   - Depth is the deployment's total queue depth (the tie-break input):
+//     parked requests plus the waiting+running load of every serving
+//     instance. Draining incarnations are excluded — their remaining batch
+//     occupies no capacity a new request could wait for.
+//   - Instances is the uncordoned serving count (the capacity worth
+//     advertising); Cordoned reports serving capacity that is all cordoned
+//     ahead of an imminent drain, and DrainingAt how far away the soonest
+//     cordoned drain is. With CordonLead unset no instance ever cordons, so
+//     these reduce exactly to the serving count / false / 0 — the
+//     drain-blind ladder inputs.
+//
+//first:hotpath reached through the TestRoutingRowZeroAlloc pin (federation_test.go)
+func (d *fedDep) view(row *federation.EndpointInfo) {
+	depth := len(d.pending)
+	total, serving := 0, 0
+	loading := false
+	var queued *fedInstance
 	var soonest sim.Time = -1
 	for _, in := range d.insts {
-		if in.state != instServing {
-			continue
-		}
-		total++
-		if in.cordoned {
-			if soonest < 0 || in.drainAt < soonest {
+		switch in.state {
+		case instServing:
+			total++
+			depth += in.eng.Depth()
+			if !in.cordoned {
+				serving++
+			} else if soonest < 0 || in.drainAt < soonest {
 				soonest = in.drainAt
 			}
-			continue
+		case instLoading:
+			loading = true
+		case instQueued:
+			if queued == nil {
+				queued = in
+			}
 		}
-		serving++
 	}
-	cordoned = total > 0 && serving == 0
+	switch {
+	case total > 0:
+		row.ModelState = "running"
+	case loading:
+		row.ModelState = "starting"
+	case queued == nil:
+		row.ModelState = "cold"
+	case queued.job != nil && queued.job.State() == scheduler.Starting:
+		row.ModelState = "starting"
+	default:
+		row.ModelState = "queued"
+	}
+	row.Depth = depth
+	row.Instances = serving
+	row.Cordoned = total > 0 && serving == 0
+	row.DrainingAt = 0
 	if soonest >= 0 {
 		if dt := soonest - d.c.k.Now(); dt > 0 {
-			drainingAt = time.Duration(dt)
+			row.DrainingAt = time.Duration(dt)
 		}
 	}
-	return serving, cordoned, drainingAt
 }
 
 // deliver hands a routed request to its target deployment: directly when
@@ -632,42 +660,8 @@ func (c *fedCluster) migrateFrom(r *Req) {
 	})
 }
 
-// modelState aggregates the pool's lifecycle onto the paper's §4.3 states:
-// serving anywhere beats loading beats queued. Draining instances report
-// nothing — they must not attract new work, and their held GPUs keep the
-// capacity rung honest.
-func (d *fedDep) modelState() string {
-	anyLoading, anyQueued := false, false
-	var queued *fedInstance
-	for _, in := range d.insts {
-		switch in.state {
-		case instServing:
-			return "running"
-		case instLoading:
-			anyLoading = true
-		case instQueued:
-			if !anyQueued {
-				queued = in
-			}
-			anyQueued = true
-		}
-	}
-	if anyLoading {
-		return "starting"
-	}
-	if anyQueued {
-		if queued.job != nil && queued.job.State() == scheduler.Starting {
-			return "starting"
-		}
-		return "queued"
-	}
-	return "cold"
-}
-
-// depth is the deployment's total queue depth (federation tie-break input):
-// parked requests plus the waiting+running load of every instance still
-// accepting work. Draining incarnations are excluded — their remaining batch
-// occupies no capacity a new request could wait for.
+// depth is the deployment's total queue depth, the same figure view writes
+// into a routing row's Depth; the scaler reads it on its own.
 func (d *fedDep) depth() int {
 	n := len(d.pending)
 	for _, in := range d.insts {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/serving"
 	"github.com/argonne-first/first/internal/sim"
 )
@@ -276,5 +277,50 @@ func TestFederationParamsDefaultsBGChurn(t *testing.T) {
 	// Off stays off.
 	if p := (FederationParams{Clusters: 2}).withDefaults(); p.BGPeriod != 0 {
 		t.Errorf("BGPeriod defaulted on: %v", p.BGPeriod)
+	}
+}
+
+// TestRoutingRowZeroAlloc pins the per-request routing decision at zero
+// allocations: building every model's candidate rows on a warmed c4
+// federation (serving, cold, and background-held clusters) and running
+// federation.Select over them.
+func TestRoutingRowZeroAlloc(t *testing.T) {
+	k := sim.NewKernel()
+	p := DefaultFederationParams(4)
+	p.ServeWalltime = 120 * time.Second
+	f := NewFederation(k, p, nil)
+	for i := 0; i < 4000; i++ {
+		r := fedReq(i+1, i%len(p.Models), 64+i%200, 16+i%64)
+		k.Schedule(time.Duration(i)*20*time.Millisecond, func() { f.Arrive(r) })
+	}
+	k.Run(70 * time.Second) // mid-trace: pools serving with live queues
+	rows := make([]federation.EndpointInfo, len(f.clusters))
+	fill := func() {
+		for m := range f.p.Models {
+			spec := &f.p.Models[m]
+			for i, c := range f.clusters {
+				c.endpointInfo(m, spec, &rows[i])
+			}
+			if _, _, err := federation.Select(rows); err != nil {
+				panic(err)
+			}
+		}
+	}
+	running, depth := 0, 0
+	for m := range f.p.Models {
+		spec := &f.p.Models[m]
+		for i, c := range f.clusters {
+			c.endpointInfo(m, spec, &rows[i])
+			if rows[i].ModelState == "running" {
+				running++
+			}
+			depth += rows[i].Depth
+		}
+	}
+	if running == 0 || depth == 0 {
+		t.Fatalf("warm-up left %d running rows with total depth %d; the pin needs live pools", running, depth)
+	}
+	if allocs := testing.AllocsPerRun(200, fill); allocs != 0 {
+		t.Errorf("endpointInfo + Select allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -26,6 +26,7 @@ package desmodel
 import (
 	"time"
 
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/serving"
 	"github.com/argonne-first/first/internal/sim"
@@ -64,38 +65,24 @@ func (ps *parState) send(src, dst int, fn func()) {
 	ps.ss.Send(src, dst, ps.look, fn)
 }
 
-// fedSnap is one cluster's barrier-published routing snapshot.
-type fedSnap struct {
-	freeGPUs int
-	deps     []fedDepSnap
-}
-
-// fedDepSnap is one deployment's snapshot row: exactly the fields route and
-// routeReplay consult.
+// fedDepSnap is one deployment's barrier-published snapshot: the complete
+// routing row endpointInfo hands the ladder, plus the pool size
+// routeReplay's "does the pool exist" check reads.
 type fedDepSnap struct {
-	state      string
-	depth      int
-	serving    int
-	pool       int
-	cordoned   bool
-	drainingAt time.Duration
+	row  federation.EndpointInfo
+	pool int
 }
 
 // publishSnaps refreshes every cluster's routing snapshot. Barrier context
 // only (single-threaded, all shards joined).
 func (f *Federation) publishSnaps() {
 	for _, c := range f.clusters {
-		c.snap.freeGPUs = c.cl.Status().FreeGPUs
+		free := c.cl.FreeGPUs()
 		for m, d := range c.deps {
-			serving, cordoned, drainingAt := d.routingView()
-			c.snap.deps[m] = fedDepSnap{
-				state:      d.modelState(),
-				depth:      d.depth(),
-				serving:    serving,
-				pool:       len(d.insts),
-				cordoned:   cordoned,
-				drainingAt: drainingAt,
-			}
+			s := &c.snap[m]
+			s.row = federation.EndpointInfo{ID: c.name, FreeGPUs: free, NeededGPUs: f.p.Models[m].TensorParallel}
+			d.view(&s.row)
+			s.pool = len(d.insts)
 		}
 	}
 }

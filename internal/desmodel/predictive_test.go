@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/sim"
 )
 
@@ -271,9 +272,10 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 			in.cordoned = true
 		}
 	}
-	serving, cordoned, _ := a.deps[0].routingView()
-	if serving != 0 || !cordoned {
-		t.Fatalf("routingView after cordon = (%d, %v), want (0, true)", serving, cordoned)
+	var row federation.EndpointInfo
+	a.deps[0].view(&row)
+	if row.Instances != 0 || !row.Cordoned {
+		t.Fatalf("view after cordon = (Instances %d, Cordoned %v), want (0, true)", row.Instances, row.Cordoned)
 	}
 	r2 := &Req{ID: 2, Model: 0, PromptTok: 64, OutputTok: 4}
 	k.Schedule(0, func() { f.Arrive(r2) })
@@ -339,11 +341,12 @@ func TestCordonLeadFiresBeforeDrain(t *testing.T) {
 	if got := d.pickServing(); got != second {
 		t.Fatal("pickServing chose the cordoned instance over an uncordoned sibling")
 	}
-	serving, cordoned, drainingAt := d.routingView()
-	if serving != 1 || cordoned {
-		t.Fatalf("routingView = (%d, %v), want (1, false): one sibling still serves", serving, cordoned)
+	var row federation.EndpointInfo
+	d.view(&row)
+	if row.Instances != 1 || row.Cordoned {
+		t.Fatalf("view = (Instances %d, Cordoned %v), want (1, false): one sibling still serves", row.Instances, row.Cordoned)
 	}
-	if drainingAt <= 0 || drainingAt > p.CordonLead {
-		t.Fatalf("drainingAt = %v, want within (0, %v]", drainingAt, p.CordonLead)
+	if row.DrainingAt <= 0 || row.DrainingAt > p.CordonLead {
+		t.Fatalf("DrainingAt = %v, want within (0, %v]", row.DrainingAt, p.CordonLead)
 	}
 }

@@ -199,17 +199,17 @@ func (f *Federation) routeReplay(r *Req) {
 	attempts := 0
 	order := make([]int, 0, n)
 	for {
-		infos := f.scratch[:0]
 		order = order[:0]
-		for i := 0; i < n; i++ {
-			ci := (m + i) % n
-			if avoided&(1<<uint(ci)) != 0 || !rp.breakers[ci].CanAttempt(now) {
-				continue
+		for i, ci := 0, m%n; i < n; i++ {
+			if avoided&(1<<uint(ci)) == 0 && rp.breakers[ci].CanAttempt(now) {
+				f.clusters[ci].endpointInfo(m, spec, &f.scratch[len(order)])
+				order = append(order, ci)
 			}
-			infos = append(infos, f.clusters[ci].endpointInfo(m, spec))
-			order = append(order, ci)
+			if ci++; ci == n {
+				ci = 0
+			}
 		}
-		f.scratch = infos[:0]
+		infos := f.scratch[:len(order)]
 		if len(infos) == 0 {
 			// Every candidate is breaker-open or already failed this
 			// request: the live gateway sheds with a 503 and counts no
@@ -248,7 +248,7 @@ func (f *Federation) routeReplay(r *Req) {
 		// routing ladder's candidate rows carry).
 		var pool int
 		if f.par != nil {
-			pool = c.snap.deps[m].pool
+			pool = c.snap[m].pool
 		} else {
 			pool = len(c.deps[m].insts)
 		}

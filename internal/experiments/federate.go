@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sort"
 	"time"
 
 	"github.com/argonne-first/first/internal/chaosnet"
@@ -277,8 +276,7 @@ func federateRow(sys *desmodel.Federation, c FederateCell, mode string, offered 
 		}
 	}
 	if len(migrated) > 0 {
-		sort.Float64s(migrated)
-		row.MigratedMedianS = migrated[len(migrated)/2]
+		row.MigratedMedianS = desmodel.SelectNth(migrated, len(migrated)/2)
 	}
 	horizon := sim.Sec(end)
 	var utilSum float64

@@ -71,6 +71,8 @@ const (
 
 // Select applies the priority algorithm over candidates in configuration
 // order. It returns the chosen endpoint's index and the reason.
+//
+//first:hotpath pinned by TestSelectZeroAlloc (federation_test.go)
 func Select(candidates []EndpointInfo) (int, Reason, error) {
 	if len(candidates) == 0 {
 		return -1, "", fmt.Errorf("federation: no endpoints configured")
@@ -83,16 +85,17 @@ func Select(candidates []EndpointInfo) (int, Reason, error) {
 	// to any capacity-rung pick, and win only over first-configured —
 	// riding a known-dying instance still beats a blind cold start.
 	best, bestCordoned := -1, -1
-	for i, c := range candidates {
+	for i := range candidates {
+		c := &candidates[i]
 		switch c.ModelState {
 		case "running", "starting", "queued":
 			if c.Cordoned {
-				if bestCordoned == -1 || lessLoaded(c, candidates[bestCordoned]) {
+				if bestCordoned == -1 || lessLoaded(c, &candidates[bestCordoned]) {
 					bestCordoned = i
 				}
 				continue
 			}
-			if best == -1 || lessLoaded(c, candidates[best]) {
+			if best == -1 || lessLoaded(c, &candidates[best]) {
 				best = i
 			}
 		}
@@ -101,8 +104,8 @@ func Select(candidates []EndpointInfo) (int, Reason, error) {
 		return best, ReasonActive, nil
 	}
 	// 2) Cluster with available nodes.
-	for i, c := range candidates {
-		if c.FreeGPUs >= c.NeededGPUs && c.NeededGPUs > 0 {
+	for i := range candidates {
+		if c := &candidates[i]; c.FreeGPUs >= c.NeededGPUs && c.NeededGPUs > 0 {
 			return i, ReasonCapacity, nil
 		}
 	}
@@ -121,7 +124,7 @@ func Select(candidates []EndpointInfo) (int, Reason, error) {
 // a cross-multiplication so equal per-instance loads tie exactly (and the
 // earlier-configured endpoint keeps winning ties). Instance counts below
 // one are normalized to one.
-func lessLoaded(a, b EndpointInfo) bool {
+func lessLoaded(a, b *EndpointInfo) bool {
 	ai, bi := a.Instances, b.Instances
 	if ai < 1 {
 		ai = 1
@@ -290,7 +293,7 @@ func (r *Router) RouteAvoiding(model string, avoid []string) (Decision, error) {
 			info.Instances = ready
 			info.Cordoned = ready == 0 && stopping > 0
 		}
-		info.FreeGPUs = ep.Scheduler().Cluster().Status().FreeGPUs
+		info.FreeGPUs = ep.Scheduler().Cluster().FreeGPUs()
 		infos[i] = info
 	}
 	idx, reason, err := Select(infos)

@@ -265,6 +265,36 @@ func TestSelectInstanceAwareDepth(t *testing.T) {
 // same decision, and the input is never mutated. The DES federation model
 // snapshots candidates into a reused scratch slice, so both properties are
 // load-bearing.
+// TestSelectZeroAlloc pins the ladder itself at zero allocations on every
+// rung (active with a cordoned rival, capacity, cordoned fallback,
+// first-configured): it runs once per routed request in the DES twin.
+func TestSelectZeroAlloc(t *testing.T) {
+	sets := [][]EndpointInfo{
+		{
+			{ID: "a", ModelState: "running", Depth: 6, Instances: 2},
+			{ID: "b", ModelState: "running", Depth: 1, Cordoned: true},
+			{ID: "c", ModelState: "queued", Depth: 4},
+		},
+		{
+			{ID: "a", ModelState: "cold", FreeGPUs: 0, NeededGPUs: 4},
+			{ID: "b", ModelState: "cold", FreeGPUs: 8, NeededGPUs: 4},
+		},
+		{
+			{ID: "a", ModelState: "cold", FreeGPUs: 0, NeededGPUs: 4},
+			{ID: "b", ModelState: "running", Depth: 3, Cordoned: true},
+		},
+		{
+			{ID: "a", ModelState: "cold", FreeGPUs: 0, NeededGPUs: 4},
+			{ID: "b", ModelState: "cold", FreeGPUs: 2, NeededGPUs: 4},
+		},
+	}
+	for i, set := range sets {
+		if allocs := testing.AllocsPerRun(100, func() { Select(set) }); allocs != 0 {
+			t.Errorf("set %d: Select allocates %.1f/op, want 0", i, allocs)
+		}
+	}
+}
+
 func TestSelectStableUnderCopies(t *testing.T) {
 	states := []string{"running", "starting", "queued", "cold"}
 	rng := rand.New(rand.NewSource(20251015))
